@@ -16,8 +16,8 @@ stationary-phase form ``1/2 + arcsin(x / 4 J t) / pi`` is provided as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,8 +34,37 @@ def default_order_cutoff(argument: float) -> int:
     return int(math.ceil(x + 10.0 * x ** (1.0 / 3.0) + 20.0))
 
 
+class AmplitudeTable:
+    """Amplitudes ``(-i)^n values[n - n_lo]`` for ``n = n_lo..n_hi``.
+
+    Subclasses provide ``n_lo``, ``n_hi`` and the real ``values``.  The
+    cumulative weight ``sum_{m < n} values[m]^2`` is read from one prefix-sum
+    table, so the weight of any range of impurity indices costs two lookups.
+    """
+
+    @cached_property
+    def _prefix(self) -> np.ndarray:
+        return np.concatenate([[0.0], np.cumsum(self.squares())])
+
+    def squares(self) -> np.ndarray:
+        return self.values * self.values
+
+    def amplitudes(self) -> np.ndarray:
+        return impurity_phases(np.arange(self.n_lo, self.n_hi + 1)) * self.values
+
+    def weight_below(self, ns) -> np.ndarray:
+        """Stored weight of the indices strictly below each integer in ``ns``."""
+        k = np.clip(np.asarray(ns, dtype=np.int64) - self.n_lo, 0, len(self.values))
+        return self._prefix[k]
+
+    @property
+    def total(self) -> float:
+        """Stored weight of every index."""
+        return float(self._prefix[-1])
+
+
 @dataclass(frozen=True)
-class BesselWeights:
+class BesselWeights(AmplitudeTable):
     """Table of ``J_n(4 J t)`` for ``|n| <= order_cutoff`` plus tail bound.
 
     ``values[order_cutoff + n]`` holds ``J_n``; negative orders are stored
@@ -50,12 +79,6 @@ class BesselWeights:
     order_cutoff: int
     values: np.ndarray
     tail_bound: float
-    _prefix: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        squares = self.values * self.values
-        prefix = np.concatenate([[0.0], np.cumsum(squares)])
-        object.__setattr__(self, "_prefix", prefix)
 
     @property
     def orders(self) -> np.ndarray:
@@ -88,9 +111,6 @@ class BesselWeights:
             ]
         return out
 
-    def squares(self) -> np.ndarray:
-        return self.values * self.values
-
     def phase(self, n: int) -> complex:
         """(-i)^n."""
         return _PHASES[n % 4]
@@ -99,15 +119,10 @@ class BesselWeights:
         """Impurity amplitude (-i)^n J_n(4 J t)."""
         return self.phase(n) * self.j(n)
 
-    def amplitudes(self) -> np.ndarray:
-        return impurity_phases(self.orders) * self.values
-
     def cdf(self, x: float) -> float:
         """sum over n < x of J_n^2 (strict inequality)."""
-        n_max = int(math.ceil(x)) - 1  # largest n with n < x
-        k = n_max + self.order_cutoff + 1  # number of stored orders below x
-        k = min(max(k, 0), 2 * self.order_cutoff + 1)
-        return float(self._prefix[k])
+        n = min(max(math.ceil(x), self.n_lo), self.n_hi + 1)
+        return float(self.weight_below(n))
 
 
 def impurity_phases(ns: np.ndarray) -> np.ndarray:
@@ -136,8 +151,8 @@ def bessel_weights(t: float, tol: float = 1e-12, coupling: float = 1.0) -> Besse
     The cutoff starts at ``default_order_cutoff(4 J t)`` and grows until the
     normalization deficit ``|sum J_n^2 - 1|`` drops below ``tol``.
     """
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and non-negative, got {t!r}")
     if not 0.0 < tol <= 1e-8:
         raise ValueError("tolerance must be in (0, 1e-8]")
     x = 4.0 * coupling * float(t)

@@ -36,13 +36,14 @@ from . import __version__
 from .asymptotics import asym_sigma_z_profile, fit_lqjs_envelope
 from .bessel import bessel_weights
 from .engine import (
-    bipartite_entropy,
+    SCHMIDT_THRESHOLD,
     current_profile,
     p_down_down_values,
     position_correlation,
     position_statistics,
-    schmidt_count,
+    schmidt_spectrum,
     sigma_z_values,
+    spectrum_entropy,
 )
 from .lattice import (
     FlipSpec,
@@ -72,8 +73,8 @@ def _parse_times(text: str) -> list[float]:
         times = [float(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
         raise ConfigError(f"bad time list {text!r}") from exc
-    if not times or any(t < 0 for t in times):
-        raise ConfigError("times must be a non-empty list of non-negative reals")
+    if not times or not all(math.isfinite(t) and t >= 0 for t in times):
+        raise ConfigError("times must be a non-empty list of finite non-negative reals")
     return times
 
 
@@ -293,10 +294,8 @@ def _cmd_entropy(args) -> int:
             span = int(1.5 * bessel_weights(t).order_cutoff) + 8
             cuts = range(-span, span + 1)
         for c in cuts:
-            rows.append(
-                (t, int(c), float(bipartite_entropy(c, t, bg, tol=args.tol)),
-                 schmidt_count(c, t, bg))
-            )
+            p = schmidt_spectrum(c, t, bg, tol=args.tol)
+            rows.append((t, int(c), spectrum_entropy(p), int(np.sum(p > SCHMIDT_THRESHOLD))))
     written = _emit(
         Path(args.out) / "entropy",
         ["time", "cut", "entropy_bits", "schmidt_count"],

@@ -1,8 +1,11 @@
 """Exact expectation values in the post-flip state.
 
-The evolved state is ``sum_n (-i)^n J_n(4 J t) |n>`` over the impurity
-basis of a fixed background.  Operators diagonal in that basis reduce to
-classically weighted averages of rendered spin patterns; generic Pauli
+The evolved state is ``sum_n a_n |n>`` with ``a_n = (-i)^n J_n(4 J t)``
+over the impurity basis of a fixed background.  Each site's spin is a step
+function of ``n`` (``Background.site_maps``), so a diagonal observable is
+constant between the breakpoints of its support and its expectation value
+is a sum of differences of the prefix sums ``sum_{m<n} |a_m|^2``.  The same
+breakpoints label the Schmidt decomposition across a bond.  Generic Pauli
 strings couple only basis states whose renderings differ inside the
 string's support, which keeps the double sum local and exact.
 
@@ -22,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bessel import BesselWeights, bessel_weights, impurity_phases, position_cdf
+from .bessel import AmplitudeTable, BesselWeights, bessel_weights, position_cdf
 from .lattice import DOWN, UP, Background, GuardError, SpinWindow
 
 GUARD_MARGIN = 4  # particles beyond the Bessel cutoff kept on each side
@@ -41,7 +44,10 @@ class DiagonalObservable:
     """Operator diagonal in the impurity basis.
 
     ``evaluator`` maps the rendered spins on ``support`` (a SpinWindow) to
-    the eigenvalue of the observable in that basis state.
+    the eigenvalue of the observable in that basis state.  It is called once
+    per run of impurity indices over which the rendering of the support is
+    constant, not once per basis state, so it must be a pure function of the
+    window.
     """
 
     evaluator: Callable[[SpinWindow], float]
@@ -185,7 +191,7 @@ class ChainSegment:
 
 
 @dataclass(frozen=True)
-class ChainAmplitudes:
+class ChainAmplitudes(AmplitudeTable):
     """Open-chain amplitudes ``(-i)^n values[n - n_lo]`` at one time.
 
     Read by the engine exactly like ``BesselWeights``; ``tail_bound``
@@ -196,12 +202,6 @@ class ChainAmplitudes:
     n_hi: int
     values: np.ndarray
     tail_bound: float
-
-    def squares(self) -> np.ndarray:
-        return self.values * self.values
-
-    def amplitudes(self) -> np.ndarray:
-        return impurity_phases(np.arange(self.n_lo, self.n_hi + 1)) * self.values
 
 
 def folded_hops(row: np.ndarray) -> dict[bytes, float]:
@@ -295,12 +295,12 @@ def require_infinite(bg: Background, what: str) -> None:
         raise EngineError(f"{what} does not read the open-chain table of chain {bg.chain}")
 
 
-# -- guarded rendering -----------------------------------------------------
+# -- guarded background ----------------------------------------------------
 
 
 def guarded_background(
     bg: Background, t: float, tol: float = 1e-12
-) -> tuple[Background, BesselWeights | ChainAmplitudes]:
+) -> tuple[Background, AmplitudeTable]:
     """Weights for ``t`` plus a background wide enough for their cutoff.
 
     On a chain background the weights are the chain's amplitude table and
@@ -314,13 +314,6 @@ def guarded_background(
     return bg.extended_to_particles(-need, need), w
 
 
-@lru_cache(maxsize=16)
-def _block(bg: Background, n_lo: int, n_hi: int, site_lo: int, site_hi: int) -> np.ndarray:
-    out = bg.render_block(n_lo, n_hi, site_lo, site_hi)
-    out.setflags(write=False)
-    return out
-
-
 def _cone_window(bg: Background, w: BesselWeights, pad: int = 2) -> tuple[int, int]:
     """Site range guaranteed to contain all n-dependence of the stored states."""
     n = w.order_cutoff
@@ -332,27 +325,46 @@ def _cone_window(bg: Background, w: BesselWeights, pad: int = 2) -> tuple[int, i
 # -- diagonal expectation values --------------------------------------------
 
 
+def _breakpoints(j0: np.ndarray, j1: np.ndarray, n_lo: int, n_hi: int) -> np.ndarray:
+    """Sorted impurity indices in (n_lo, n_hi] at which a site of the maps changes."""
+    j = np.concatenate([j0, j1])
+    return np.unique(j[(j > n_lo) & (j <= n_hi)])
+
+
+def _diagonal_runs(
+    obs: DiagonalObservable, bgx: Background, n_lo: int, n_hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of impurity indices with one rendering of ``obs.support``.
+
+    Returns ``cuts`` (``n_lo = cuts[0] < ... < cuts[-1] = n_hi + 1``) and
+    ``vals[k]``, the eigenvalue of ``obs`` for ``cuts[k] <= n < cuts[k + 1]``.
+    """
+    lo, hi = obs.support
+    cuts = np.concatenate([[n_lo], _breakpoints(*bgx.site_maps(lo, hi), n_lo, n_hi), [n_hi + 1]])
+    vals = np.array([obs.evaluator(bgx.render_window(int(n), lo, hi)) for n in cuts[:-1]])
+    return cuts, vals
+
+
 def expect_diagonal(obs: DiagonalObservable, t: float, bg: Background, tol: float = 1e-12) -> float:
-    """sum_n J_n^2 <n|D|n> with eigenvalues read off rendered patterns."""
+    """sum_n |a_n|^2 <n|D|n>: each run's eigenvalue times the run's prefix-sum weight."""
     bgx, w = guarded_background(bg, t, tol)
     lo, hi = obs.support
-    bgx = bgx.extended_to_sites(lo, hi)
-    block = _block(bgx, w.n_lo, w.n_hi, lo, hi)
-    sq = w.squares()
-    vals = np.array(
-        [obs.evaluator(SpinWindow(lo, tuple(int(s) for s in row))) for row in block]
-    )
-    return float(np.dot(sq, vals))
+    cuts, vals = _diagonal_runs(obs, bgx.extended_to_sites(lo, hi), w.n_lo, w.n_hi)
+    return float(np.diff(w.weight_below(cuts)) @ vals)
 
 
 def sigma_z_values(t: float, bg: Background, sites: Sequence[int], tol: float = 1e-12) -> np.ndarray:
-    """<sigma^z_l>_t for each requested site (vectorized over the basis)."""
+    """<sigma^z_l>_t for each requested site.
+
+    Site ``l`` is down exactly for ``j1(l) <= n < j0(l)``, so the value is
+    the table's weight minus twice the weight of that range.
+    """
     bgx, w = guarded_background(bg, t, tol)
     sites = np.asarray(sites, dtype=np.int64)
-    bgx = bgx.extended_to_sites(int(sites.min()), int(sites.max()))
-    block = _block(bgx, w.n_lo, w.n_hi, int(sites.min()), int(sites.max()))
-    cols = sites - int(sites.min())
-    return w.squares() @ block[:, cols].astype(np.float64)
+    lo, hi = int(sites.min()), int(sites.max())
+    j0, j1 = bgx.extended_to_sites(lo, hi).site_maps(lo, hi)
+    k = sites - lo
+    return w.total - 2.0 * (w.weight_below(j0[k]) - w.weight_below(j1[k]))
 
 
 def magnetisation_profile(
@@ -370,14 +382,18 @@ def p_down_down(ell: int, t: float, bg: Background, tol: float = 1e-12) -> float
 def p_down_down_values(
     t: float, bg: Background, bonds: Sequence[int], tol: float = 1e-12
 ) -> np.ndarray:
+    """Probability of two adjacent down spins on each bond (l, l+1).
+
+    Both sites are down exactly for ``max j1 <= n < min j0`` over the pair.
+    """
     bgx, w = guarded_background(bg, t, tol)
     bonds = np.asarray(bonds, dtype=np.int64)
     lo, hi = int(bonds.min()), int(bonds.max()) + 1
-    bgx = bgx.extended_to_sites(lo, hi)
-    block = _block(bgx, w.n_lo, w.n_hi, lo, hi)
-    down = 0.5 * (1.0 - block.astype(np.float64))
-    cols = bonds - lo
-    return w.squares() @ (down[:, cols] * down[:, cols + 1])
+    j0, j1 = bgx.extended_to_sites(lo, hi).site_maps(lo, hi)
+    k = bonds - lo
+    start = np.maximum(j1[k], j1[k + 1])
+    stop = np.minimum(j0[k], j0[k + 1])
+    return np.maximum(w.weight_below(stop) - w.weight_below(start), 0.0)
 
 
 def p_down_down_profile(
@@ -490,13 +506,9 @@ def expect_pauli_string(
     if not string.factors:
         return 1.0 + 0.0j
     if string.is_diagonal:
-        bgx, w = guarded_background(bg, t, tol)
-        lo, hi = string.support
-        bgx = bgx.extended_to_sites(lo, hi)
-        block = _block(bgx, w.n_lo, w.n_hi, lo, hi).astype(np.float64)
-        cols = [s - lo for s in string.sites]
-        vals = np.prod(block[:, cols], axis=1)
-        return complex(np.dot(w.squares(), vals))
+        sites = string.sites
+        product = DiagonalObservable(lambda w: math.prod(w.spin_at(s) for s in sites), string.support)
+        return complex(expect_diagonal(product, t, bg, tol))
 
     require_infinite(bg, "an off-diagonal Pauli string")
     w = bessel_weights(t, tol)
@@ -507,37 +519,31 @@ def expect_pauli_string(
     bgx = bgx.extended_to_sites(slo - margin - 4, shi + margin + 4)
     # candidate impurity indices: a nonzero element needs both impurity down
     # blocks inside the string support, so only states whose block touches the
-    # (slightly padded) support can contribute
-    cands = [
-        n
-        for n in range(-ncut, ncut + 1)
-        if bgx.site_of(n, n) <= shi + margin and bgx.site_of(n + 1, n) >= slo - margin
-    ]
-    if not cands:
+    # (slightly padded) support can contribute: particle n may sit at or left
+    # of its right end, and particle n + 1 at or right of its left end
+    j_first, j_last = bgx.particles_seen(slo - margin, shi + margin)
+    n_lo, n_hi = max(j_first - 1, -ncut), min(j_last, ncut)
+    if n_lo > n_hi:
         return 0.0 + 0.0j
-    wlo = min(slo, bgx.site_of(min(cands), min(cands))) - margin
-    whi = max(shi, bgx.site_of(max(cands) + 1, max(cands))) + margin
-    block = _block(bgx, min(cands), max(cands), wlo, whi)
-    offset = min(cands)
+    wlo = min(slo, bgx.site_of(n_lo, n_lo)) - margin
+    whi = max(shi, bgx.site_of(n_hi + 1, n_hi)) + margin
+    block = bgx.render_block(n_lo, n_hi, wlo, whi)
     # locality claim: a nonzero element keeps both impurity blocks within two
     # sites of the support; contributions from the pad zone are a bug
-    in_core = {
-        n: bgx.site_of(n, n) >= slo - 4 and bgx.site_of(n + 1, n) <= shi + 4
-        for n in cands
-    }
+    in_core = [
+        bgx.site_of(n, n) >= slo - 4 and bgx.site_of(n + 1, n) <= shi + 4
+        for n in range(n_lo, n_hi + 1)
+    ]
+    amps = w.j_array(n_lo, n_hi)
     total = 0.0 + 0.0j
     phases = (1.0, 1j, -1.0, -1j)  # i^(n1 - n2)
-    for n2 in cands:
-        coeff, pattern = _apply_string(block[n2 - offset], wlo, string.factors)
-        j2 = w.j(n2)
-        for n1 in cands:
-            if n1 == n2:
-                continue  # x/y factors always change the pattern
-            if not np.array_equal(block[n1 - offset], pattern):
-                continue
-            if not (in_core[n1] and in_core[n2]):
+    for k2 in range(len(block)):
+        coeff, pattern = _apply_string(block[k2], wlo, string.factors)
+        # x/y factors always change the pattern, so a state never matches itself
+        for k1 in np.flatnonzero((block == pattern).all(axis=1)):
+            if not (in_core[k1] and in_core[k2]):
                 raise EngineError("off-diagonal locality margin violated")
-            total += phases[(n1 - n2) % 4] * w.j(n1) * j2 * coeff
+            total += phases[(k1 - k2) % 4] * amps[k1] * amps[k2] * coeff
     return total
 
 
@@ -597,11 +603,8 @@ def two_time_diagonal(
     )
 
     def eigenvalues(obs, ncut):
-        lo, hi = obs.support
-        block = _block(bgx, -ncut, ncut, lo, hi)
-        return np.array(
-            [obs.evaluator(SpinWindow(lo, tuple(int(s) for s in row))) for row in block]
-        )
+        cuts, vals = _diagonal_runs(obs, bgx, -ncut, ncut)
+        return np.repeat(vals, np.diff(cuts))
 
     a = w1.values * eigenvalues(d1, n1)
     b = w2.values * eigenvalues(d2, n2)
@@ -650,10 +653,15 @@ def position_correlation(m: int, n: int, t: float, bg: Background, tol: float = 
 def schmidt_spectrum(cut: int, t: float, bg: Background, tol: float = 1e-12) -> np.ndarray:
     """Squared Schmidt values across the bond (cut, cut+1), descending.
 
-    Basis states are grouped by their renderings on each side of the cut;
-    the resulting amplitude matrix is block diagonal over connected
-    components, each of which is decomposed exactly.  On a chain
-    background the rows span the chain and the bond must lie inside it.
+    Within the table, particles enter or leave either side of the cut only
+    across the cut, so two states render alike on one side iff no breakpoint
+    of that side lies between them: breakpoints label the rows and columns
+    of the amplitude matrix.  With ``r`` the first breakpoint right of the
+    cut and ``l`` the last one left of it, the states below ``r - 1`` share
+    one column and own their rows: they act as one row of norm
+    ``sqrt(sum |a_n|^2)``.  The states above ``l`` mirror this as one column,
+    so only the states in between enter one by one.  On a chain background
+    the bond must lie inside the chain.
     """
     bgx, w = guarded_background(bg, t, tol)
     if bg.chain is not None:
@@ -665,66 +673,43 @@ def schmidt_spectrum(cut: int, t: float, bg: Background, tol: float = 1e-12) -> 
         if not lo <= cut < hi:
             # outside the cone every state renders identically around the cut
             return np.array([1.0])
-    block = _block(bgx, w.n_lo, w.n_hi, lo, hi)
+    j0, j1 = bgx.site_maps(lo, hi)
     split = cut - lo + 1
-    amps = w.amplitudes()
+    left = _breakpoints(j0[:split], j1[:split], w.n_lo, w.n_hi)
+    right = _breakpoints(j0[split:], j1[split:], w.n_lo, w.n_hi)
+    if not (left.size and right.size):
+        # one side renders alike in every state
+        return np.array([w.total])
+    start, stop = sorted((int(right[0]) - 1, int(left[-1])))
+    ns = np.arange(start, stop + 1)
+    rows = np.searchsorted(left, ns, side="right") - np.searchsorted(left, start, side="right")
+    cols = np.searchsorted(right, ns, side="right") - np.searchsorted(right, start, side="right")
+    amps = np.zeros((rows[-1] + 2, cols[-1] + 2), dtype=complex)
+    amps[rows, cols] = w.amplitudes()[start - w.n_lo : stop - w.n_lo + 1]
+    below, upto = w.weight_below([start, stop + 1])
+    amps[-1, 0] = math.sqrt(below)
+    amps[-2, -1] = math.sqrt(w.total - upto)
+    s = np.linalg.svd(amps, compute_uv=False)
+    return s * s
 
-    left_ids: dict[bytes, int] = {}
-    right_ids: dict[bytes, int] = {}
-    entries: dict[tuple[int, int], complex] = {}
-    for k in range(block.shape[0]):
-        lkey = block[k, :split].tobytes()
-        rkey = block[k, split:].tobytes()
-        li = left_ids.setdefault(lkey, len(left_ids))
-        ri = right_ids.setdefault(rkey, len(right_ids))
-        entries[(li, ri)] = entries.get((li, ri), 0.0) + amps[k]
 
-    # union-find over rows/cols to split into independent blocks
-    parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    for li, ri in entries:
-        union(("L", li), ("R", ri))
-    groups: dict = {}
-    for (li, ri), v in entries.items():
-        groups.setdefault(find(("L", li)), []).append((li, ri, v))
-
-    spectrum: list[float] = []
-    for items in groups.values():
-        rows = sorted({li for li, _, _ in items})
-        cols = sorted({ri for _, ri, _ in items})
-        sub = np.zeros((len(rows), len(cols)), dtype=complex)
-        rmap = {r: i for i, r in enumerate(rows)}
-        cmap = {c: i for i, c in enumerate(cols)}
-        for li, ri, v in items:
-            sub[rmap[li], cmap[ri]] = v
-        if sub.size == 1:
-            spectrum.append(abs(sub[0, 0]) ** 2)
-        else:
-            svals = np.linalg.svd(sub, compute_uv=False)
-            spectrum.extend(float(s) ** 2 for s in svals)
-    spectrum = np.array(sorted(spectrum, reverse=True))
-    return spectrum
+def spectrum_entropy(p: np.ndarray, base: float = 2.0) -> float:
+    """Entropy of a normalised Schmidt spectrum ``p``, in bits by default."""
+    p = p[p > 1e-300]
+    p = p / p.sum()
+    return float(-(p * np.log(p)).sum() / math.log(base))
 
 
 def bipartite_entropy(
     cut: int, t: float, bg: Background, base: float = 2.0, tol: float = 1e-12
 ) -> float:
     """Entanglement entropy across the bond (cut, cut+1), in bits by default."""
-    p = schmidt_spectrum(cut, t, bg, tol)
-    p = p[p > 1e-300]
-    p = p / p.sum()
-    return float(-(p * np.log(p)).sum() / math.log(base))
+    return spectrum_entropy(schmidt_spectrum(cut, t, bg, tol), base)
 
 
-def schmidt_count(cut: int, t: float, bg: Background, threshold: float = 1e-12) -> int:
+SCHMIDT_THRESHOLD = 1e-12  # squared Schmidt values counted by schmidt_count
+
+
+def schmidt_count(cut: int, t: float, bg: Background, threshold: float = SCHMIDT_THRESHOLD) -> int:
     p = schmidt_spectrum(cut, t, bg)
     return int(np.sum(p > threshold))

@@ -238,7 +238,13 @@ class Background:
     def site_max(self) -> int:
         return int(self._pos1[-1])
 
-    def _site_maps(self, site_lo: int, site_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def site_maps(self, site_lo: int, site_hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Breakpoints ``(j0, j1)`` of the sites ``site_lo..site_hi`` in the impurity index.
+
+        Site ``site_lo + k`` is down exactly in the states ``j1[k] <= n < j0[k]``:
+        ``j0`` is the particle whose unshifted site it is, ``j1`` the one whose
+        shifted site it is (a sentinel beyond every index where there is none).
+        """
         if site_lo < self.site_min or site_hi > self.site_max:
             raise GuardError(
                 f"window [{site_lo}, {site_hi}] outside rendered range "
@@ -267,7 +273,7 @@ class Background:
                 f"impurity indices [{n_lo}, {n_hi}] need particles outside "
                 f"[{self.j_min}, {self.j_max}]"
             )
-        j0, j1 = self._site_maps(site_lo, site_hi)
+        j0, j1 = self.site_maps(site_lo, site_hi)
         ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)[:, None]
         up = (ns >= j0[None, :]) | (ns < j1[None, :])
         return np.where(up, UP, DOWN).astype(np.int8)
@@ -292,10 +298,11 @@ class Background:
 
     def particles_seen(self, site_lo: int, site_hi: int) -> tuple[int, int]:
         """First and last particle on a site of [site_lo, site_hi] in some basis state."""
-        seen = np.flatnonzero((self._pos0 <= site_hi) & (self._pos1 >= site_lo))
-        if not seen.size:
+        first = int(np.searchsorted(self._pos1, site_lo, side="left"))
+        last = int(np.searchsorted(self._pos0, site_hi, side="right")) - 1
+        if first > last:
             raise GuardError(f"no stored particle reaches [{site_lo}, {site_hi}]")
-        return self.j_min + int(seen[0]), self.j_min + int(seen[-1])
+        return self.j_min + first, self.j_min + last
 
     # -- extension -------------------------------------------------------
 

@@ -147,3 +147,9 @@ def test_cutoff_formula():
 def test_normalization_property(t):
     w = bessel_weights(round(t, 6))
     assert abs(np.dot(w.values, w.values) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_time_rejected(t):
+    with pytest.raises(ValueError, match="finite"):
+        bessel_weights(t)

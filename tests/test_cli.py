@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+import pytest
+
 from foldedxxz.cli import main
 
 
@@ -94,6 +97,25 @@ def test_entropy_command(tmp_path):
     assert max(counts) <= 3
 
 
+def test_entropy_command_reads_one_spectrum_per_cut_at_tol(tmp_path, monkeypatch):
+    import foldedxxz.cli as cli
+
+    calls, real = [], cli.schmidt_spectrum
+
+    def spy(cut, t, bg, tol=1e-12):
+        p = real(cut, t, bg, tol)
+        calls.append((cut, tol, int(np.sum(p > 1e-12))))
+        return p
+
+    monkeypatch.setattr(cli, "schmidt_spectrum", spy)
+    assert run(
+        ["entropy", "--times", "1.5", "--sites=-3:3", "--tol", "1e-9", "--out", str(tmp_path)]
+    ) == 0
+    lines = (tmp_path / "entropy.csv").read_text().splitlines()
+    counts = [int(row.split(",")[3]) for row in lines[1:]]
+    assert calls == [(c, 1e-9, n) for c, n in zip(range(-3, 4), counts)]
+
+
 def test_entmap_command(tmp_path):
     assert run(
         ["entmap", "--m", "4", "--M", "2", "--times", "1.5", "--sites=-6:14", "--out", str(tmp_path)]
@@ -141,6 +163,12 @@ def test_bad_config_file(tmp_path):
 def test_bad_times_rejected(tmp_path):
     assert run(["profile", "--times", "1.0,-2", "--out", str(tmp_path)]) == 2
     assert run(["profile", "--times", "abc", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1.0,inf"])
+def test_non_finite_times_rejected(tmp_path, capsys, text):
+    assert run(["profile", "--background", "fig2a", f"--times={text}", "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_bad_background_rejected(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from foldedxxz.asymptotics import asym_macrosite, asym_sigma_z, asym_sigma_z_profile
@@ -12,7 +12,7 @@ from foldedxxz.engine import (
     EngineError,
     PauliString,
     RuleDomainError,
-    _block,
+    _cone_window,
     _path_segment,
     _site_to_particle,
     bipartite_entropy,
@@ -43,7 +43,11 @@ from foldedxxz.engine import (
 from foldedxxz.lattice import (
     DOWN,
     UP,
+    FlipSpec,
     GuardError,
+    LatticeError,
+    SpinWindow,
+    background_from_spins,
     neel_flip_background,
     period3_flip_background,
 )
@@ -441,22 +445,10 @@ def test_chain_rows_never_shared_with_the_parent_through_caches():
     parent = BG.extended_to_particles(-20, 20)
     chain = parent.on_chain(-7, 6)
     for first, second in ((parent, chain), (chain, parent)):
-        _block.cache_clear()
         _site_to_particle.cache_clear()
         lookups = {bg: _site_to_particle(bg) for bg in (first, second)}
         assert all(-7 <= s <= 6 for s in lookups[chain])
         assert min(lookups[parent]) < -7 and max(lookups[parent]) > 6
-        inner = {bg: _block(bg, -3, 3, -7, 6) for bg in (first, second)}
-        assert inner[parent] is not inner[chain]
-        np.testing.assert_array_equal(inner[parent], inner[chain])
-        if first is parent:
-            _block(parent, -3, 3, -12, 12)
-            with pytest.raises(GuardError):
-                _block(chain, -3, 3, -12, 12)
-        else:
-            with pytest.raises(GuardError):
-                _block(chain, -3, 3, -12, 12)
-            assert _block(parent, -3, 3, -12, 12).shape == (7, 25)
 
 
 def test_chain_beyond_the_cone_reproduces_the_infinite_chain():
@@ -476,3 +468,160 @@ def test_chain_calls_leave_infinite_results_bit_identical():
     after = (sigma_z_values(t, BG, sites), schmidt_spectrum(0, t, BG), p_down_down_values(t, BG, sites))
     for a, b in zip(before, after):
         np.testing.assert_array_equal(a, b)
+
+
+# -- prefix sums and breakpoints against the rendered block -------------------
+#
+# The engine never renders the whole amplitude table; these properties hold
+# every entry point to the brute-force form that does: all rows of
+# ``render_block`` weighted by the table, on random single-flip backgrounds.
+
+EXACT = 1e-13
+
+
+@st.composite
+def flip_states(draw, chains=True):
+    """(background, Jt, support) for a random jammed window with a single flip.
+
+    The window tiles a random jammed cell (so edge extension works) with up
+    to four down spins near the flip turned up (an inline window), is
+    flipped under either convention, and is optionally cut to an open chain.
+    """
+    cell = draw(
+        st.text(alphabet="ud", min_size=2, max_size=5).filter(
+            lambda c: "d" in c and "dd" not in c + c[0]
+        )
+    )
+    reps = 40 // len(cell) + 2
+    first = -reps * len(cell)
+    text = list(cell * (2 * reps + 1))
+    for k in draw(st.lists(st.integers(-8, 8), max_size=4)):
+        text[k - first] = "u"  # removing down spins keeps the window jammed
+    flips = [
+        (site, conv)
+        for site in range(-4, 5)
+        if text[site - first] == "u"
+        for conv, nb in (("left", site - 1), ("right", site + 1))
+        if text[nb - first] == "d"
+    ]
+    assume(flips)
+    site, conv = draw(st.sampled_from(flips))
+    window = SpinWindow.from_string("".join(text), first)
+    try:
+        bg = background_from_spins(window, FlipSpec(site), conv, cell, cell)
+    except LatticeError:
+        assume(False)
+    if chains and draw(st.booleans()):
+        bg = bg.on_chain(draw(st.integers(-9, -1)), draw(st.integers(0, 9)))
+        try:
+            chain_segment(bg)
+        except EngineError:
+            assume(False)
+    lo, hi = bg.chain if bg.chain is not None else (-14, 14)
+    a = draw(st.integers(lo, hi))
+    support = (a, draw(st.integers(a, min(hi, a + 3))))
+    return bg, round(draw(st.floats(0.0, 30.0)), 3), support
+
+
+def _pattern_value(win):
+    """An unrelated value for each spin pattern on up to four sites."""
+    table = (0.3, -1.2, 2.0, 0.7, -0.4, 1.1, 0.05, -2.2, 1.7, -0.9, 0.6, -1.5, 0.2, 2.4, -0.1, 0.8)
+    return table[sum((1 + s) // 2 << k for k, s in enumerate(win.spins))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(flip_states())
+def test_diagonal_paths_match_rendered_block(state):
+    bg, t, (a, b) = state
+    lo, hi = bg.chain if bg.chain is not None else (-14, 14)
+    bgx, w = guarded_background(bg, t)
+    rows = bgx.extended_to_sites(lo, hi).render_block(w.n_lo, w.n_hi, lo, hi)
+    sq, spins = w.squares(), rows.astype(float)
+    sites = np.arange(lo, hi + 1)
+    np.testing.assert_allclose(sigma_z_values(t, bg, sites), sq @ spins, atol=EXACT, rtol=0)
+    if hi > lo:
+        down = 0.5 * (1.0 - spins)
+        pdd = p_down_down_values(t, bg, sites[:-1])
+        np.testing.assert_allclose(pdd, sq @ (down[:, :-1] * down[:, 1:]), atol=EXACT, rtol=0)
+    obs = DiagonalObservable(_pattern_value, (a, b))
+    direct = [
+        obs.evaluator(SpinWindow(a, tuple(int(s) for s in row)))
+        for row in rows[:, a - lo : b - lo + 1]
+    ]
+    assert abs(expect_diagonal(obs, t, bg) - sq @ direct) < EXACT
+    string = pauli(*{(a, "z"), (b, "z")})
+    zs = np.prod(spins[:, [s - lo for s in string.sites]], axis=1)
+    assert abs(expect_pauli_string(string, t, bg) - sq @ zs) < EXACT
+
+
+@settings(max_examples=30, deadline=None)
+@given(flip_states(chains=False), st.floats(0.0, 1.0))
+def test_two_time_diagonal_matches_rendered_block(state, ratio):
+    bg, t1, (a, b) = state
+    t2 = round(t1 * ratio, 3)
+    d1 = DiagonalObservable(_pattern_value, (a, b))
+    d2 = sigma_z_observable(b)
+    w1, w2, w12 = bessel_weights(t1), bessel_weights(t2), bessel_weights(t1 - t2)
+    need = max(w1.order_cutoff, w2.order_cutoff) + 4
+    bgx = bg.extended_to_particles(-need, need).extended_to_sites(a, b)
+
+    def eigenvalues(obs, w):
+        lo, hi = obs.support
+        rows = bgx.render_block(w.n_lo, w.n_hi, lo, hi)
+        return np.array([obs.evaluator(SpinWindow(lo, tuple(int(s) for s in row))) for row in rows])
+
+    kernel = np.array(
+        [[w12.j(m - n) for n in range(w2.n_lo, w2.n_hi + 1)] for m in range(w1.n_lo, w1.n_hi + 1)]
+    )
+    direct = (w1.values * eigenvalues(d1, w1)) @ kernel @ (w2.values * eigenvalues(d2, w2))
+    assert abs(two_time_diagonal(d1, t1, d2, t2, bg) - direct) < EXACT
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    flip_states(chains=False),
+    st.sampled_from("xy"),
+    st.sampled_from(["", "x", "y", "z"]),
+    st.sampled_from("xyz"),
+    st.integers(-6, 4),
+)
+def test_off_diagonal_strings_match_rendered_block(state, first, middle, last, start):
+    # x/y on sites l and l + 2 move the impurity by one particle
+    bg, t, _ = state
+    string = pauli(*((start + k, ax) for k, ax in enumerate((first, middle, last)) if ax))
+    bgx, w = guarded_background(bg, t)
+    lo, hi = _cone_window(bgx, w)
+    rows = bgx.render_block(w.n_lo, w.n_hi, lo, hi)
+    index = {row.tobytes(): k for k, row in enumerate(rows)}
+    amps = w.amplitudes()
+    direct = 0.0
+    for k, row in enumerate(rows):
+        ket, coeff = row.copy(), 1.0 + 0.0j
+        for site, ax in string.factors:
+            s = int(ket[site - lo])
+            coeff *= {"x": 1.0, "y": 1j * s, "z": s}[ax]
+            if ax != "z":
+                ket[site - lo] = -s
+        if ket.tobytes() in index:
+            direct += np.conj(amps[index[ket.tobytes()]]) * amps[k] * coeff
+    assert abs(expect_pauli_string(string, t, bg) - direct) < EXACT
+
+
+@settings(max_examples=60, deadline=None)
+@given(flip_states(), st.integers(-12, 12))
+def test_schmidt_spectrum_matches_dense_svd(state, cut):
+    bg, t, _ = state
+    bgx, w = guarded_background(bg, t)
+    lo, hi = bg.chain if bg.chain is not None else _cone_window(bgx, w)
+    cut = min(max(cut, lo), hi - 1)
+    rows = bgx.render_block(w.n_lo, w.n_hi, lo, hi)
+    _, left = np.unique(rows[:, : cut - lo + 1], axis=0, return_inverse=True)
+    _, right = np.unique(rows[:, cut - lo + 1 :], axis=0, return_inverse=True)
+    dense = np.zeros((left.max() + 1, right.max() + 1), dtype=complex)
+    dense[left.ravel(), right.ravel()] = w.amplitudes()
+    direct = np.linalg.svd(dense, compute_uv=False) ** 2
+    got = schmidt_spectrum(cut, t, bg)
+    size = max(len(got), len(direct))
+    np.testing.assert_allclose(
+        np.pad(got, (0, size - len(got))), np.pad(direct, (0, size - len(direct))), atol=EXACT, rtol=0
+    )
