@@ -13,7 +13,8 @@ Background grammar
   state *before* the flip, anchored with ``--first-site`` (default 0) and
   flipped at ``--flip-site``.  A capital ``U`` may mark the flipped spin
   instead of ``--flip-site``.  ``--pad LEFT,RIGHT`` declares repeating
-  edge cells (spin strings) so windows can be extended to any light cone.
+  edge cells (spin strings) so windows can be extended to any light cone;
+  each must match the window edge up to a cyclic rotation (else exit 2).
 
 All sites are reported in canonical coordinates: the down pair created by
 the flip occupies sites (-1, 0).
@@ -38,6 +39,7 @@ from .bessel import bessel_weights
 from .engine import (
     SCHMIDT_THRESHOLD,
     current_profile,
+    guarded_background,
     p_down_down_values,
     position_correlation,
     position_statistics,
@@ -94,6 +96,16 @@ def _particle_extent(times: list[float]) -> int:
 
 
 def _resolve_background(args, times):
+    """The requested background, extended once to the guard of ``max(times)``.
+
+    Extension errors are not configuration errors: a window without edge
+    cells exits 3, an edge that does not match its declared cell exits 2.
+    """
+    bg, _ = guarded_background(_build_background(args, times), max(times), args.tol)
+    return bg
+
+
+def _build_background(args, times):
     extent = _particle_extent(times)
     name = args.background
     if name == "fig2a":

@@ -303,8 +303,9 @@ def guarded_background(
 ) -> tuple[Background, AmplitudeTable]:
     """Weights for ``t`` plus a background wide enough for their cutoff.
 
-    On a chain background the weights are the chain's amplitude table and
-    the background renders its whole segment.
+    The engine's one light-cone guard: ``GUARD_MARGIN`` particles beyond
+    the cutoff.  On a chain background the weights are the chain's
+    amplitude table and the background renders its whole segment.
     """
     if bg.chain is not None:
         seg = chain_segment(bg)
@@ -511,9 +512,8 @@ def expect_pauli_string(
         return complex(expect_diagonal(product, t, bg, tol))
 
     require_infinite(bg, "an off-diagonal Pauli string")
-    w = bessel_weights(t, tol)
+    bgx, w = guarded_background(bg, t, tol)
     ncut = w.order_cutoff
-    bgx = bg.extended_to_particles(-ncut - 12, ncut + 12)
     slo, shi = string.support
     margin = 6
     bgx = bgx.extended_to_sites(slo - margin - 4, shi + margin + 4)
@@ -596,8 +596,7 @@ def two_time_diagonal(
     w2 = bessel_weights(t2, tol)
     w12 = bessel_weights(t1 - t2, tol)
     n1, n2 = w1.order_cutoff, w2.order_cutoff
-    need = max(n1, n2) + GUARD_MARGIN
-    bgx = bg.extended_to_particles(-need, need)
+    bgx, _ = guarded_background(bg, t1 if n1 >= n2 else t2, tol)
     bgx = bgx.extended_to_sites(
         min(d1.support[0], d2.support[0]), max(d1.support[1], d2.support[1])
     )

@@ -23,6 +23,12 @@ Two flip conventions arise depending on whether the down spin adjacent to
 the flipped one sat to its left (flipped spin relabelled to even site 0,
 recorded as ``"left"``) or to its right (flipped spin at odd site -1,
 ``"right"``).  Both are supported and recorded.
+
+Every ``Background`` is built from one format: the sorted integer array
+of up-spin sites in the state ``n = 0``.  Each particle takes the species
+of its site, and the recurrence must reproduce every site, which is the
+full jamming check.  Parsing a spin window and extending a background by
+repeating the up sites of an edge tile both end in that check.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ class SpinWindow:
     def __post_init__(self):
         if len(self.spins) < 1:
             raise ValueError("window must contain at least one site")
-        if any(s not in (UP, DOWN) for s in self.spins):
+        if not set(self.spins) <= {UP, DOWN}:
             raise ValueError("spins must be UP (+1) or DOWN (-1)")
 
     @classmethod
@@ -122,7 +128,8 @@ class Background:
     ``species[k]`` is ``b_j`` for ``j = j_min + k``.  ``left_cell`` and
     ``right_cell`` optionally declare repeating spin-unit cells (strings
     over ``u``/``d``) used to extend the window when an operation needs a
-    wider light-cone guard.
+    wider light-cone guard; each must match its window edge up to a cyclic
+    rotation.
 
     ``chain`` optionally restricts the state to the open chain of sites
     ``chain[0]..chain[1]`` (see ``on_chain``): rows are then rendered only
@@ -138,7 +145,7 @@ class Background:
     chain: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.species):
+        if not set(self.species) <= {0, 1}:
             raise ValueError("species must be 0 or 1")
         if self.convention not in ("left", "right"):
             raise ValueError("convention must be 'left' or 'right'")
@@ -202,6 +209,12 @@ class Background:
     def _pos1(self) -> np.ndarray:
         """Site of particle j when the impurity sits to its left (j > n)."""
         return self._pos0 + 2
+
+    @cached_property
+    def _up_sites(self) -> np.ndarray:
+        """Up-spin sites of the state n = 0, one per stored particle."""
+        split = 1 - self.j_min  # offset of particle 1, the first right of the impurity
+        return np.concatenate([self._pos0[:split], self._pos1[split:]])
 
     def c(self, j: int) -> int:
         if not self.j_min <= j <= self.j_max:
@@ -309,10 +322,12 @@ class Background:
     def extended_to_particles(self, j_lo: int, j_hi: int) -> "Background":
         """Return a background covering at least [j_lo, j_hi], tiling edge cells.
 
-        The declared cells fix the repeat length; the repeated unit itself is
-        read off the rendered window edge, so no phase bookkeeping is needed.
-        The reparse validation rejects tiles that do not continue the pattern.
-        A chain is kept.
+        Extension is arithmetic on the up sites of the state n = 0.  The edge
+        tile, the up sites within ``len(cell)`` sites of the window edge,
+        repeats at offsets of ``len(cell)`` sites, and the new particles take
+        the species of their sites.  The tile must be a cyclic rotation of the
+        declared cell and the recurrence must reproduce the tiled sites,
+        otherwise ``NotJammedError``.  A chain is kept.
         """
         if j_lo >= self.j_min and j_hi <= self.j_max:
             return self
@@ -323,33 +338,17 @@ class Background:
                 f"particle range [{j_lo}, {j_hi}] exceeds [{self.j_min}, {self.j_max}] "
                 "and no edge cells are declared"
             )
-        lo, hi = self.site_min, self.site_max
-        text = self.infinite.render_window(0, lo, hi).to_string()
-        first = lo
+        sites, j_min = self._up_sites, self.j_min
         if j_lo < self.j_min:
-            tile = text[: len(self.left_cell)]
-            ups = _count_ups(tile)
-            if ups == 0:
-                raise GuardError("left edge cell carries no particles")
-            reps = (self.j_min - j_lo) // ups + 2
-            text = tile * reps + text
-            first -= reps * len(tile)
+            left = _edge_tiles(sites, self.left_cell, self.j_min - j_lo, "left")
+            sites = np.concatenate([left, sites])
+            j_min -= len(left)
         if j_hi > self.j_max:
-            tile = text[-len(self.right_cell) :]
-            ups = _count_ups(tile)
-            if ups == 0:
-                raise GuardError("right edge cell carries no particles")
-            reps = (j_hi - self.j_max) // ups + 2
-            text = text + tile * reps
-        reparsed = background_from_postflip(
-            SpinWindow.from_string(text, first),
-            convention=self.convention,
-            left_cell=self.left_cell,
-            right_cell=self.right_cell,
+            right = _edge_tiles(sites, self.right_cell, j_hi - self.j_max, "right")
+            sites = np.concatenate([sites, right])
+        return _background_from_sites(
+            sites, j_min, self.convention, self.left_cell, self.right_cell, self.chain
         )
-        if reparsed.j_min > j_lo or reparsed.j_max < j_hi:
-            raise GuardError("edge cells did not extend the background as required")
-        return reparsed if self.chain is None else replace(reparsed, chain=self.chain)
 
     def extended_to_sites(self, site_lo: int, site_hi: int, pad: int = 4) -> "Background":
         """Extend until the rendered range covers [site_lo - pad, site_hi + pad].
@@ -367,8 +366,43 @@ class Background:
         return out
 
 
-def _count_ups(text: str) -> int:
-    return text.count("u")
+def _edge_tiles(sites: np.ndarray, cell: str, count: int, side: str) -> np.ndarray:
+    """Up sites of enough copies of the edge tile to add at least ``count`` particles.
+
+    The tile covers the ``len(cell)`` sites at the ``side`` edge of the
+    sorted up sites ``sites``; its spin pattern must be a cyclic rotation of
+    ``cell``.  Copies lie at multiples of ``len(cell)`` beyond the edge.
+    """
+    p = len(cell)
+    if side == "left":
+        start = int(sites[0])
+        tile = sites[: np.searchsorted(sites, start + p)]
+    else:
+        start = int(sites[-1]) - p + 1
+        tile = sites[np.searchsorted(sites, start) :]
+    up = np.zeros(p, dtype=bool)
+    up[tile - start] = True
+    pattern = "".join(np.where(up, "u", "d"))
+    if pattern not in cell + cell:
+        raise NotJammedError(
+            f"{side} edge tile {pattern!r} is not a rotation of the declared cell {cell!r}"
+        )
+    reps = count // len(tile) + 2
+    shifts = p * (np.arange(-reps, 0) if side == "left" else np.arange(1, reps + 1))
+    return (shifts[:, None] + tile[None, :]).ravel()
+
+
+def _background_from_sites(sites: np.ndarray, j_min: int, *fields) -> Background:
+    """Background whose state n = 0 has its up spins exactly on ``sites``.
+
+    ``fields`` are the Background fields after ``j_min``.  Every particle
+    takes the species of its site; the recurrence must then reproduce every
+    site, which is the full jamming check in disguise.
+    """
+    bg = Background(tuple((sites % 2).tolist()), j_min, *fields)
+    if not np.array_equal(bg._up_sites, sites):
+        raise NotJammedError("window is not a single-flip state of a jammed background")
+    return bg
 
 
 @dataclass(frozen=True)
@@ -399,26 +433,11 @@ def render(state: ImpurityBasisState, site_lo: int, site_hi: int) -> SpinWindow:
 # -- protocol parsing ----------------------------------------------------
 
 
-def _down_runs(spins: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) index pairs (inclusive) of maximal down runs."""
-    runs = []
-    k = 0
-    while k < len(spins):
-        if spins[k] == DOWN:
-            start = k
-            while k + 1 < len(spins) and spins[k + 1] == DOWN:
-                k += 1
-            runs.append((start, k))
-        k += 1
-    return runs
-
-
-def _parse_particles(window: SpinWindow) -> tuple[np.ndarray, np.ndarray]:
-    """Sites and species of all up spins, in site order."""
-    arr = window.array()
-    sites = window.first_site + np.flatnonzero(arr == UP)
-    species = 2 * np.ceil(sites / 2).astype(np.int64) - sites
-    return sites, species
+def _down_runs(spins: np.ndarray) -> np.ndarray:
+    """(start, stop) index pairs (inclusive) of the maximal runs of two or more downs."""
+    down = np.concatenate([[False], spins == DOWN, [False]])
+    runs = np.flatnonzero(down[1:] != down[:-1]).reshape(-1, 2) - [0, 1]
+    return runs[runs[:, 1] > runs[:, 0]]
 
 
 def background_from_postflip(
@@ -434,46 +453,26 @@ def background_from_postflip(
     by the flip sits at (-1, 0); for a three-down run the ``convention``
     argument selects which pair is anchored there.
     """
-    arr = window.array()
-    runs = [(a, b) for a, b in _down_runs(arr) if b > a]
-    # runs touching the window edge may continue outside: only full interior
-    # runs of length >= 2 count as impurities
+    spins = window.array()
+    # runs touching the window edge count too: they may continue outside
+    runs = _down_runs(spins)
     if len(runs) != 1:
         raise NotJammedError(f"expected exactly one multi-down run, found {len(runs)}")
-    a, b = runs[0]
-    length = b - a + 1
-    if length > 3:
+    a, b = (int(k) for k in runs[0])
+    if b - a > 2:
         raise NotJammedError("down run longer than three sites")
-    if a == 0 or b == len(arr) - 1:
+    if a == 0 or b == len(spins) - 1:
         raise NotJammedError("impurity touches the window edge")
-    if length == 2:
-        anchor = window.first_site + b  # pair -> sites (-1, 0)
-    elif convention == "left":
-        anchor = window.first_site + a + 1  # pair (a, a+1), extra down right
-    else:
-        anchor = window.first_site + b  # pair (b-1, b), extra down left
-    shifted = SpinWindow(window.first_site - anchor, window.spins)
-
-    sites, species = _parse_particles(shifted)
+    # the pair (b-1, b) goes to sites (-1, 0), except (a, a+1) for a
+    # three-down run in the left convention
+    anchor = window.first_site + (a + 1 if b - a == 2 and convention == "left" else b)
+    sites = np.flatnonzero(spins == UP) + (window.first_site - anchor)
     if len(sites) < 6:
         raise NotJammedError("window too small to anchor the background")
-    n_left = int(np.sum(sites < -1))
+    n_left = int(np.searchsorted(sites, -1))
     if n_left < 3 or len(sites) - n_left < 3:
         raise NotJammedError("need at least three particles on each side of the impurity")
-    j_min = -(n_left - 1)
-    bg = Background(
-        species=tuple(int(s) for s in species),
-        j_min=j_min,
-        convention=convention,
-        left_cell=left_cell,
-        right_cell=right_cell,
-    )
-    # the recurrence must reproduce every parsed position; this is the full
-    # jamming check in disguise
-    expect = np.array([bg.site_of(j, 0) for j in range(bg.j_min, bg.j_max + 1)])
-    if not np.array_equal(expect, sites):
-        raise NotJammedError("window is not a single-flip state of a jammed background")
-    return bg
+    return _background_from_sites(sites, 1 - n_left, convention, left_cell, right_cell)
 
 
 def background_from_spins(
@@ -484,8 +483,8 @@ def background_from_spins(
     right_cell: str | None = None,
 ) -> Background:
     """Apply the flip protocol to a jammed window and parse the result."""
-    arr = window.array().copy()
-    if any(b > a for a, b in _down_runs(arr)):
+    arr = window.array()
+    if len(_down_runs(arr)):
         raise NotJammedError("window is not jammed before the flip")
     k = flip.site - window.first_site
     if not 1 <= k <= len(arr) - 2:
@@ -503,10 +502,8 @@ def background_from_spins(
     elif convention == "right" and not down_right:
         raise FlipIneffectiveError("right convention needs a down spin right of the flip")
     arr[k] = DOWN
-    flipped = SpinWindow(window.first_site, tuple(int(s) for s in arr))
-    return background_from_postflip(
-        flipped, convention=convention, left_cell=left_cell, right_cell=right_cell
-    )
+    flipped = SpinWindow(window.first_site, tuple(arr.tolist()))
+    return background_from_postflip(flipped, convention, left_cell, right_cell)
 
 
 # -- coarse-grained geometry ----------------------------------------------
@@ -556,7 +553,7 @@ def periodic_flip_background(
     enough to store at least ``particle_extent`` particles on each side.
     """
     p = len(cell)
-    ups_per_cell = _count_ups(cell)
+    ups_per_cell = cell.count("u")
     if ups_per_cell == 0:
         raise NotJammedError("cell carries no particles")
     reps = (particle_extent + 8) // ups_per_cell + 3

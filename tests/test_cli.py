@@ -62,6 +62,42 @@ def test_inline_background_without_pad_hits_guard(tmp_path):
     assert run(args) == 3
 
 
+def test_inline_background_with_mismatched_pad_exits_2(tmp_path, capsys):
+    # the window is period 3, the declared cells are Neel
+    args = [
+        "profile", "--times", "0.3", "--sites=-4:4",
+        "--background", "duu" * 9, "--flip-site", "14",
+        "--pad", "ud,ud",
+        "--out", str(tmp_path),
+    ]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "tile 'uu'" in err and "declared cell 'ud'" in err
+
+
+def test_inline_pad_background_is_extended_once_per_command(tmp_path, monkeypatch):
+    from foldedxxz.lattice import Background
+
+    grown, real = [], Background.extended_to_particles
+
+    def spy(self, j_lo, j_hi):
+        out = real(self, j_lo, j_hi)
+        if out is not self:
+            grown.append((j_lo, j_hi))
+        return out
+
+    monkeypatch.setattr(Background, "extended_to_particles", spy)
+    args = [
+        "current", "--times", "0.3,0.8", "--sites=-6:6",
+        "--background", "uud" * 9 + "uUd" + "uud" * 9,
+        "--first-site", "-30",
+        "--pad", "uud,uud",
+        "--out", str(tmp_path),
+    ]
+    assert run(args) == 0
+    assert len(grown) == 1
+
+
 def test_jamming_with_fit(tmp_path, capsys):
     assert run(
         ["jamming", "--times", "25", "--fit-envelope", "--out", str(tmp_path)]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from foldedxxz.lattice import (
@@ -12,6 +12,7 @@ from foldedxxz.lattice import (
     GuardError,
     ImpurityBasisState,
     IndexOutOfRangeError,
+    LatticeError,
     NotJammedError,
     SpinWindow,
     background_from_postflip,
@@ -36,6 +37,81 @@ def down_runs(arr):
             runs.append((s, k))
         k += 1
     return [(a, b) for a, b in runs if b > a]
+
+
+# -- string-era references ----------------------------------------------------
+#
+# The parse and the extension as they were before backgrounds were built
+# from up-site arrays: per-spin run search, per-particle positions, and
+# extension by rendering the window to a u/d string, tiling the edge
+# substring and reparsing.  The library must agree with them wherever a
+# declared cell matches its window edge.
+
+
+def reference_postflip(window, convention="left", left_cell=None, right_cell=None):
+    spins = list(window.spins)
+    runs = down_runs(spins)
+    if len(runs) != 1:
+        raise NotJammedError("runs")
+    a, b = runs[0]
+    if b - a + 1 > 3 or a == 0 or b == len(spins) - 1:
+        raise NotJammedError("run")
+    anchor = window.first_site + (a + 1 if b - a == 2 and convention == "left" else b)
+    sites = [window.first_site - anchor + k for k, s in enumerate(spins) if s == UP]
+    n_left = sum(s < -1 for s in sites)
+    if len(sites) < 6 or n_left < 3 or len(sites) - n_left < 3:
+        raise NotJammedError("particles")
+    species = tuple(2 * ((s + 1) // 2) - s for s in sites)
+    bg = Background(species, 1 - n_left, convention, left_cell, right_cell)
+    if [bg.site_of(j, 0) for j in range(bg.j_min, bg.j_max + 1)] != sites:
+        raise NotJammedError("recurrence")
+    return bg
+
+
+def reference_spins(window, flip, convention="auto", left_cell=None, right_cell=None):
+    spins = list(window.spins)
+    if down_runs(spins):
+        raise NotJammedError("pre-flip")
+    k = flip.site - window.first_site
+    if not 1 <= k <= len(spins) - 2:
+        raise IndexOutOfRangeError("flip site")
+    down_left, down_right = spins[k - 1] == DOWN, spins[k + 1] == DOWN
+    if spins[k] != UP or not (down_left or down_right):
+        raise FlipIneffectiveError("flip")
+    if convention == "auto":
+        convention = "left" if down_left else "right"
+    elif (convention == "left" and not down_left) or (convention == "right" and not down_right):
+        raise FlipIneffectiveError("convention")
+    spins[k] = DOWN
+    flipped = SpinWindow(window.first_site, tuple(spins))
+    return reference_postflip(flipped, convention, left_cell, right_cell)
+
+
+def reference_extension(bg, j_lo, j_hi):
+    if j_lo >= bg.j_min and j_hi <= bg.j_max:
+        return bg
+    if (j_lo < bg.j_min and bg.left_cell is None) or (j_hi > bg.j_max and bg.right_cell is None):
+        raise GuardError("cells")
+    text = bg.infinite.render_window(0, bg.site_min, bg.site_max).to_string()
+    first = bg.site_min
+    if j_lo < bg.j_min:
+        tile = text[: len(bg.left_cell)]
+        reps = (bg.j_min - j_lo) // tile.count("u") + 2
+        text, first = tile * reps + text, first - reps * len(tile)
+    if j_hi > bg.j_max:
+        tile = text[-len(bg.right_cell) :]
+        text += tile * ((j_hi - bg.j_max) // tile.count("u") + 2)
+    window = SpinWindow.from_string(text, first)
+    out = reference_postflip(window, bg.convention, bg.left_cell, bg.right_cell)
+    return out if bg.chain is None else out.on_chain(*bg.chain)
+
+
+def outcome(build):
+    """The built object, or the type of the lattice error it raised."""
+    try:
+        return build()
+    except LatticeError as exc:
+        return type(exc)
 
 
 # -- protocol parsing -------------------------------------------------------
@@ -237,6 +313,44 @@ def test_extension_without_cells_raises():
         stripped.extended_to_particles(-200, 200)
 
 
+def test_extension_rejects_a_cell_that_does_not_match_the_edge():
+    # a period-3 window declaring Neel cells used to grow all-up tails
+    window = SpinWindow.from_string("duu" * 9, 0)
+    bg = background_from_spins(window, FlipSpec(14), left_cell="ud", right_cell="ud")
+    with pytest.raises(NotJammedError, match="tile 'uu' is not a rotation of the declared cell 'ud'"):
+        bg.extended_to_particles(-30, 30)
+    # any rotation of the true cell is accepted, and gives the same tails
+    rotated = background_from_spins(window, FlipSpec(14), left_cell="udu", right_cell="duu")
+    true = background_from_spins(window, FlipSpec(14), left_cell="uud", right_cell="uud")
+    wide = rotated.extended_to_particles(-30, 30)
+    assert wide.j_min <= -30 and wide.j_max >= 30
+    assert wide.species == true.extended_to_particles(-30, 30).species
+
+
+def test_extension_rejects_tiles_the_recurrence_cannot_continue():
+    # the edge tile holds the impurity and matches its (unjammed) cell, so
+    # only the recurrence check sees the copied impurities
+    window = SpinWindow.from_string("uuuddududud", 0)
+    bg = background_from_postflip(window, left_cell="uuudd", right_cell="ud")
+    assert outcome(lambda: reference_extension(bg, -20, 3)) is NotJammedError
+    with pytest.raises(NotJammedError, match="not a single-flip state"):
+        bg.extended_to_particles(-20, 3)
+
+
+def test_extension_matches_the_presets_built_wide():
+    for small, wide in (
+        (period3_flip_background(16), period3_flip_background(200)),
+        (neel_flip_background(16), neel_flip_background(200)),
+        (weak_flip_background(4, 3, 16), weak_flip_background(4, 3, 200)),
+    ):
+        big = small.extended_to_particles(-150, 150)
+        lo, hi = max(big.j_min, wide.j_min), min(big.j_max, wide.j_max)
+        assert lo <= -150 and hi >= 150
+        for j in range(lo, hi + 1):
+            assert big.b(j) == wide.b(j)
+        assert big.c(-150) == wide.c(-150) and big.c(150) == wide.c(150)
+
+
 # -- open chains ------------------------------------------------------------
 
 
@@ -349,3 +463,78 @@ def test_random_background_roundtrip(bg):
     again = background_from_postflip(window, convention=bg.convention)
     assert again.species == bg.species
     assert again.j_min == bg.j_min
+
+
+# cyclically jammed spin cells of 2-7 sites: no two adjacent downs
+jammed_cells = st.text(alphabet="ud", min_size=2, max_size=7).filter(lambda c: "dd" not in c + c[0])
+
+
+@st.composite
+def padded_backgrounds(draw):
+    """Inline window: two or more edge cells on each side around a random middle.
+
+    The declared cells are random rotations of the true ones; the flip lands
+    on any up spin with a down neighbour, also inside an edge cell.
+    """
+    left, right = draw(jammed_cells), draw(jammed_cells)
+    middle = draw(st.text(alphabet="ud", max_size=10).filter(lambda m: "dd" not in m))
+    text = left * draw(st.integers(2, 5)) + middle + right * draw(st.integers(2, 5))
+    flips = [k for k in range(1, len(text) - 1) if text[k] == "u" and "d" in text[k - 1 : k + 2]]
+    assume(flips)
+    first = draw(st.integers(-30, 30))
+    flip = first + draw(st.sampled_from(flips))
+    convention = draw(st.sampled_from(["auto", "left", "right"]))
+    r_left, r_right = draw(st.integers(0, len(left) - 1)), draw(st.integers(0, len(right) - 1))
+    cells = left[r_left:] + left[:r_left], right[r_right:] + right[:r_right]
+    return SpinWindow.from_string(text, first), FlipSpec(flip), convention, cells
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    padded_backgrounds(),
+    st.integers(-40, 80),
+    st.integers(-40, 80),
+    st.one_of(st.none(), st.tuples(st.integers(-12, -1), st.integers(0, 12))),
+)
+def test_extension_equals_the_string_round_trip(spec, grow_left, grow_right, chain):
+    window, flip, convention, cells = spec
+    bg = outcome(lambda: background_from_spins(window, flip, convention, *cells))
+    assert bg == outcome(lambda: reference_spins(window, flip, convention, *cells))
+    if not isinstance(bg, Background):
+        return
+    if chain is not None:
+        bg = bg.on_chain(*chain)
+    j_lo, j_hi = bg.j_min - grow_left, bg.j_max + grow_right
+    got = outcome(lambda: bg.extended_to_particles(j_lo, j_hi))
+    assert got == outcome(lambda: reference_extension(bg, j_lo, j_hi))
+    if isinstance(got, Background):
+        assert got.j_min <= j_lo and got.j_max >= j_hi
+        assert (got.left_cell, got.right_cell, got.chain) == (*cells, bg.chain)
+
+
+@st.composite
+def rough_windows(draw):
+    """Windows of up runs and down runs of 1-5 sites, edges included."""
+    runs = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5)), min_size=1, max_size=8))
+    text = "".join("u" * u + "d" * d for u, d in runs)
+    text = text[draw(st.integers(0, 2)) :] or "d"
+    return SpinWindow.from_string(text, draw(st.integers(-20, 20)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rough_windows(),
+    st.sampled_from(["left", "right"]),
+    st.integers(0, 40),
+    st.sampled_from(["auto", "left", "right"]),
+)
+def test_parse_raises_like_the_string_era_parse(window, convention, k, flip_convention):
+    # zero, one or several multi-down runs, runs longer than three, and runs
+    # touching either edge of the window
+    assert outcome(lambda: background_from_postflip(window, convention)) == outcome(
+        lambda: reference_postflip(window, convention)
+    )
+    flip = FlipSpec(window.first_site + k % len(window))
+    assert outcome(lambda: background_from_spins(window, flip, flip_convention)) == outcome(
+        lambda: reference_spins(window, flip, flip_convention)
+    )
