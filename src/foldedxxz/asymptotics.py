@@ -20,7 +20,6 @@ case).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,18 +41,6 @@ def _clamped_arcsin(ratio: float) -> float:
     return math.asin(min(1.0, max(-1.0, ratio)))
 
 
-@lru_cache(maxsize=16)
-def _wide_enough(bg: Background, span: int) -> Background:
-    return bg.extended_to_sites(-span, span)
-
-
-def _covering(bg: Background, ell: int) -> Background:
-    span = 16
-    while span < abs(ell) + 4:
-        span *= 2
-    return _wide_enough(bg, span)
-
-
 def asym_sigma_z(
     ell: int,
     t: float,
@@ -69,7 +56,7 @@ def asym_sigma_z(
     require_infinite(bg, "the asymptotic rules")
     if ell in (-1, 0):
         raise PatternUnclassifiableError("flip macrosite has no asymptotic rule")
-    bg = _covering(bg, ell)
+    bg = bg.extended_to_sites(ell - 2, ell + 2)
     # the matching table is the same on both sides when the pattern is read
     # left-to-right; only the probed end differs
     if ell > 0:
@@ -96,6 +83,8 @@ def asym_sigma_z_profile(
     x_fn: Callable[[int], float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(classifiable sites, values) over the requested range."""
+    if len(sites):
+        bg = bg.extended_to_sites(int(np.min(sites)) - 2, int(np.max(sites)) + 2)
     out_sites, out_vals = [], []
     for ell in sites:
         try:

@@ -23,6 +23,10 @@ import numpy as np
 
 _PHASES = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)  # (-i)^n for n mod 4
 
+# largest order cutoff a table may have (about Jt = 2.5e5); a request
+# beyond it is refused before anything is allocated
+MAX_ORDER_CUTOFF = 10**6
+
 
 class ToleranceUnreachable(Exception):
     """Requested tail tolerance is below what float64 arithmetic supports."""
@@ -149,7 +153,9 @@ def bessel_weights(t: float, tol: float = 1e-12, coupling: float = 1.0) -> Besse
     """Weight table for time ``t`` with certified tail below ``tol``.
 
     The cutoff starts at ``default_order_cutoff(4 J t)`` and grows until the
-    normalization deficit ``|sum J_n^2 - 1|`` drops below ``tol``.
+    normalization deficit ``|sum J_n^2 - 1|`` drops below ``tol``.  A cutoff
+    beyond ``MAX_ORDER_CUTOFF`` raises ``ValueError`` before the table is
+    allocated.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and non-negative, got {t!r}")
@@ -162,6 +168,11 @@ def bessel_weights(t: float, tol: float = 1e-12, coupling: float = 1.0) -> Besse
         values[n_cut] = 1.0
         return BesselWeights(t, coupling, x, n_cut, values, 0.0)
     for _ in range(6):
+        if n_cut > MAX_ORDER_CUTOFF:
+            raise ValueError(
+                f"time {t!r} needs Bessel order cutoff {n_cut}, "
+                f"beyond the budget of {MAX_ORDER_CUTOFF} orders"
+            )
         pos = _miller_table(x, n_cut)
         values = np.empty(2 * n_cut + 1)
         values[n_cut:] = pos

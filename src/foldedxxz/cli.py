@@ -91,33 +91,30 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _particle_extent(times: list[float]) -> int:
-    return bessel_weights(max(times)).order_cutoff + 16
-
-
 def _resolve_background(args, times):
     """The requested background, extended once to the guard of ``max(times)``.
 
-    Extension errors are not configuration errors: a window without edge
-    cells exits 3, an edge that does not match its declared cell exits 2.
+    This is the one sizing step of a command.  Extension errors are not
+    configuration errors: a window without edge cells exits 3, an edge that
+    does not match its declared cell exits 2.
     """
-    bg, _ = guarded_background(_build_background(args, times), max(times), args.tol)
+    bg, _ = guarded_background(_build_background(args), max(times), args.tol)
     return bg
 
 
-def _build_background(args, times):
-    extent = _particle_extent(times)
+def _build_background(args):
+    """The core of the requested background, before any extension."""
     name = args.background
     if name == "fig2a":
-        return period3_flip_background(extent)
+        return period3_flip_background(0)
     if name == "fig2b":
-        return neel_flip_background(extent)
+        return neel_flip_background(0)
     if name == "fig2c":
-        return weak_flip_background(args.m or 5, 1, extent)
+        return weak_flip_background(args.m or 5, 1, 0)
     if name == "weak":
         if args.m is None or args.M is None:
             raise ConfigError("the weak background needs --m and --M")
-        return weak_flip_background(args.m, args.M, extent)
+        return weak_flip_background(args.m, args.M, 0)
     # inline spin string
     text = name
     flip_site = args.flip_site

@@ -29,6 +29,8 @@ of up-spin sites in the state ``n = 0``.  Each particle takes the species
 of its site, and the recurrence must reproduce every site, which is the
 full jamming check.  Parsing a spin window and extending a background by
 repeating the up sites of an edge tile both end in that check.
+The presets parse a fixed core window around the flip and, like every
+other background, grow only through ``extended_to_particles``.
 """
 
 from __future__ import annotations
@@ -353,14 +355,13 @@ class Background:
     def extended_to_sites(self, site_lo: int, site_hi: int, pad: int = 4) -> "Background":
         """Extend until the rendered range covers [site_lo - pad, site_hi + pad].
 
-        Particle positions advance by at least one site every two particles,
-        so a particle range as wide as the site range always suffices.
+        Only a side that falls short grows, by one particle per missing
+        site: neighbouring up spins are one or two sites apart.
         """
         lo, hi = site_lo - pad, site_hi + pad
-        if self.site_min <= lo and self.site_max >= hi:
-            return self
-        need = max(abs(lo), abs(hi)) + 8
-        out = self.extended_to_particles(min(self.j_min, -need), max(self.j_max, need))
+        out = self.extended_to_particles(
+            self.j_min - max(0, self.site_min - lo), self.j_max + max(0, hi - self.site_max)
+        )
         if out.site_min > lo or out.site_max < hi:
             raise GuardError("extension failed to cover the requested sites")
         return out
@@ -543,26 +544,27 @@ def x_of_ell(bg: Background, ell: int) -> float:
 # -- canonical backgrounds -------------------------------------------------
 
 
+_CORE_CELLS = 4  # unit cells parsed on each side of the flip before a preset grows
+
+
 def periodic_flip_background(
     cell: str, flip_site: int, particle_extent: int, convention: str = "auto"
 ) -> Background:
     """Flip protocol applied to an infinite periodic jammed state.
 
     ``cell`` is the repeating spin unit (string over u/d) anchored so that
-    site ``s`` holds ``cell[s mod len(cell)]``; the window is tiled wide
-    enough to store at least ``particle_extent`` particles on each side.
+    site ``s`` holds ``cell[s mod len(cell)]``.  A core of ``2 * _CORE_CELLS + 1``
+    cells centred on the flip grows to at least ``particle_extent`` particles
+    on each side.
     """
-    p = len(cell)
-    ups_per_cell = cell.count("u")
-    if ups_per_cell == 0:
+    if "u" not in cell:
         raise NotJammedError("cell carries no particles")
-    reps = (particle_extent + 8) // ups_per_cell + 3
-    first = -reps * p  # multiple of p, so site s maps to cell[s mod p]
-    text = cell * (2 * reps + 1)
-    window = SpinWindow.from_string(text, first)
+    p = len(cell)
+    first = (flip_site // p - _CORE_CELLS) * p  # multiple of p, so site s maps to cell[s mod p]
+    window = SpinWindow.from_string(cell * (2 * _CORE_CELLS + 1), first)
     return background_from_spins(
         window, FlipSpec(flip_site), convention=convention, left_cell=cell, right_cell=cell
-    )
+    ).extended_to_particles(-particle_extent, particle_extent)
 
 
 def period3_flip_background(particle_extent: int = 64) -> Background:
@@ -581,23 +583,17 @@ def weak_flip_background(m_start: int, length: int, particle_extent: int = 64) -
 
     The extra up spins sit at odd sites ``2 l' - 1`` for
     ``l' = m_start .. m_start + length - 1``, forming the single
-    two-species domain of the weakly interacting protocol.
+    two-species domain of the weakly interacting protocol.  A core of the
+    domain and ``_CORE_CELLS`` Neel cells on each side grows to at least
+    ``particle_extent`` particles on each side.
     """
     if m_start <= 0:
         raise ValueError("domain must start at a positive macrosite")
     if length < 1:
         raise ValueError("domain length must be at least one macrosite")
-    extent = max(particle_extent + 8, m_start + 2 * length + 12)
-    lo = -2 * extent
-    hi = 2 * (extent + m_start + length)
-    spins = []
-    domain = range(m_start, m_start + length)
-    for s in range(lo, hi + 1):
-        if s % 2 == 0:
-            spins.append("u")
-        else:
-            spins.append("u" if (s + 1) // 2 in domain else "d")
-    window = SpinWindow.from_string("".join(spins), lo)
+    # site pairs (2k, 2k + 1) from k = -_CORE_CELLS; odd site 2k + 1 is on macrosite k + 1
+    text = "ud" * (_CORE_CELLS + m_start - 1) + "uu" * length + "ud" * _CORE_CELLS
+    window = SpinWindow.from_string(text, -2 * _CORE_CELLS)
     return background_from_spins(
         window, FlipSpec(0), convention="left", left_cell="du", right_cell="du"
-    )
+    ).extended_to_particles(-particle_extent, particle_extent)

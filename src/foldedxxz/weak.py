@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -69,14 +68,9 @@ class WeakConfig:
         return bessel_weights(self.time, self.tol)
 
 
-@lru_cache(maxsize=8)
-def weak_background(m_start: int, length: int, particle_extent: int = 64) -> Background:
-    return weak_flip_background(m_start, length, particle_extent)
-
-
 def config_background(cfg: WeakConfig) -> Background:
     extent = cfg.weights.order_cutoff + 8 + cfg.m_start + 2 * cfg.length
-    return weak_background(cfg.m_start, cfg.length, extent)
+    return weak_flip_background(cfg.m_start, cfg.length, extent)
 
 
 def _f(x: int, cfg: WeakConfig) -> float:

@@ -6,7 +6,9 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foldedxxz import bessel
 from foldedxxz.bessel import (
+    MAX_ORDER_CUTOFF,
     ToleranceUnreachable,
     bessel_weights,
     default_order_cutoff,
@@ -153,3 +155,28 @@ def test_normalization_property(t):
 def test_non_finite_time_rejected(t):
     with pytest.raises(ValueError, match="finite"):
         bessel_weights(t)
+
+
+def _no_table(x, n_max):
+    raise AssertionError(f"a table of {n_max} orders was computed")
+
+
+@pytest.mark.parametrize("t", [2.6e5, 1e9])
+def test_cutoff_beyond_the_budget_is_refused_before_allocating(t, monkeypatch):
+    assert default_order_cutoff(4.0 * t) > MAX_ORDER_CUTOFF
+    monkeypatch.setattr(bessel, "_miller_table", _no_table)
+    with pytest.raises(ValueError, match="budget"):
+        bessel_weights(t)
+
+
+def test_grown_cutoff_beyond_the_budget_is_refused(monkeypatch):
+    # a cutoff of 5 orders at Jt = 2 misses most of the weight, so the
+    # cutoff grows to 37, beyond a budget of 30, before a second table
+    tables = []
+    real = bessel._miller_table
+    monkeypatch.setattr(bessel, "default_order_cutoff", lambda x: 5)
+    monkeypatch.setattr(bessel, "MAX_ORDER_CUTOFF", 30)
+    monkeypatch.setattr(bessel, "_miller_table", lambda x, n: tables.append(n) or real(x, n))
+    with pytest.raises(ValueError, match="cutoff 37"):
+        bessel_weights(2.0137)
+    assert tables == [5]

@@ -75,7 +75,18 @@ def test_inline_background_with_mismatched_pad_exits_2(tmp_path, capsys):
     assert "tile 'uu'" in err and "declared cell 'ud'" in err
 
 
-def test_inline_pad_background_is_extended_once_per_command(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "background",
+    [
+        ["--background", "fig2a"],
+        ["--background", "fig2b"],
+        ["--background", "fig2c"],
+        ["--background", "weak", "--m", "3", "--M", "2"],
+        ["--background", "uud" * 9 + "uUd" + "uud" * 9, "--first-site", "-30", "--pad", "uud,uud"],
+    ],
+    ids=["fig2a", "fig2b", "fig2c", "weak", "inline-pad"],
+)
+def test_inline_pad_background_is_extended_once_per_command(background, tmp_path, monkeypatch):
     from foldedxxz.lattice import Background
 
     grown, real = [], Background.extended_to_particles
@@ -87,15 +98,21 @@ def test_inline_pad_background_is_extended_once_per_command(tmp_path, monkeypatc
         return out
 
     monkeypatch.setattr(Background, "extended_to_particles", spy)
-    args = [
-        "current", "--times", "0.3,0.8", "--sites=-6:6",
-        "--background", "uud" * 9 + "uUd" + "uud" * 9,
-        "--first-site", "-30",
-        "--pad", "uud,uud",
-        "--out", str(tmp_path),
-    ]
+    args = ["current", "--times", "0.3,0.8", "--sites=-6:6", *background, "--out", str(tmp_path)]
     assert run(args) == 0
     assert len(grown) == 1
+
+
+def test_time_beyond_the_bessel_budget_exits_2(tmp_path, monkeypatch, capsys):
+    from foldedxxz import bessel
+
+    def no_table(x, n_max):
+        raise AssertionError(f"a table of {n_max} orders was computed")
+
+    monkeypatch.setattr(bessel, "_miller_table", no_table)
+    for command in ("profile", "jamming", "entropy"):
+        assert run([command, "--times", "1,1e9", "--out", str(tmp_path)]) == 2
+        assert "budget" in capsys.readouterr().err
 
 
 def test_jamming_with_fit(tmp_path, capsys):

@@ -21,6 +21,7 @@ from foldedxxz.lattice import (
     macrosite,
     neel_flip_background,
     period3_flip_background,
+    periodic_flip_background,
     render,
     weak_flip_background,
     x_of_ell,
@@ -104,6 +105,35 @@ def reference_extension(bg, j_lo, j_hi):
     window = SpinWindow.from_string(text, first)
     out = reference_postflip(window, bg.convention, bg.left_cell, bg.right_cell)
     return out if bg.chain is None else out.on_chain(*bg.chain)
+
+
+def reference_periodic_flip_background(cell, flip_site, particle_extent, convention="auto"):
+    """The preset as a string: the cell tiled wide enough, then parsed."""
+    p = len(cell)
+    ups_per_cell = cell.count("u")
+    if ups_per_cell == 0:
+        raise NotJammedError("cell carries no particles")
+    reps = (particle_extent + 8) // ups_per_cell + 3
+    first = -reps * p  # multiple of p, so site s maps to cell[s mod p]
+    window = SpinWindow.from_string(cell * (2 * reps + 1), first)
+    return background_from_spins(
+        window, FlipSpec(flip_site), convention=convention, left_cell=cell, right_cell=cell
+    )
+
+
+def reference_weak_flip_background(m_start, length, particle_extent=64):
+    """The weak preset as a site-by-site string wide enough, then parsed."""
+    extent = max(particle_extent + 8, m_start + 2 * length + 12)
+    lo = -2 * extent
+    hi = 2 * (extent + m_start + length)
+    domain = range(m_start, m_start + length)
+    text = "".join(
+        "u" if s % 2 == 0 or (s + 1) // 2 in domain else "d" for s in range(lo, hi + 1)
+    )
+    window = SpinWindow.from_string(text, lo)
+    return background_from_spins(
+        window, FlipSpec(0), convention="left", left_cell="du", right_cell="du"
+    )
 
 
 def outcome(build):
@@ -339,9 +369,9 @@ def test_extension_rejects_tiles_the_recurrence_cannot_continue():
 
 def test_extension_matches_the_presets_built_wide():
     for small, wide in (
-        (period3_flip_background(16), period3_flip_background(200)),
-        (neel_flip_background(16), neel_flip_background(200)),
-        (weak_flip_background(4, 3, 16), weak_flip_background(4, 3, 200)),
+        (period3_flip_background(16), reference_periodic_flip_background("duu", -1, 200, "right")),
+        (neel_flip_background(16), reference_periodic_flip_background("ud", 0, 200, "left")),
+        (weak_flip_background(4, 3, 16), reference_weak_flip_background(4, 3, 200)),
     ):
         big = small.extended_to_particles(-150, 150)
         lo, hi = max(big.j_min, wide.j_min), min(big.j_max, wide.j_max)
@@ -349,6 +379,27 @@ def test_extension_matches_the_presets_built_wide():
         for j in range(lo, hi + 1):
             assert big.b(j) == wide.b(j)
         assert big.c(-150) == wide.c(-150) and big.c(150) == wide.c(150)
+
+
+def test_extended_to_sites_grows_only_the_short_side():
+    bg = period3_flip_background(16)
+    right_only = Background(bg.species, bg.j_min, bg.convention, None, bg.right_cell)
+    wide = right_only.extended_to_sites(30, 60)
+    assert wide.j_min == bg.j_min and wide.site_max >= 64
+    with pytest.raises(GuardError):
+        right_only.extended_to_sites(bg.site_min, 60)
+    far = bg.extended_to_sites(2000, 2010)
+    assert far.j_min == bg.j_min and far.site_max >= 2014
+    # one particle per missing site, rounded up to whole two-particle tiles
+    assert far.j_max - bg.j_max <= 2014 - bg.site_max + 4
+    # growing both sides to +-2018 particles stored 4053
+    assert len(far.species) <= 2100
+
+
+def test_preset_flip_far_from_the_origin_parses():
+    bg = periodic_flip_background("duu", 299, 200)
+    ref = reference_periodic_flip_background("duu", 299, 200)
+    assert_same_preset(bg, ref, 200)
 
 
 # -- open chains ------------------------------------------------------------
@@ -510,6 +561,58 @@ def test_extension_equals_the_string_round_trip(spec, grow_left, grow_right, cha
     if isinstance(got, Background):
         assert got.j_min <= j_lo and got.j_max >= j_hi
         assert (got.left_cell, got.right_cell, got.chain) == (*cells, bg.chain)
+
+
+def assert_same_preset(got, ref, extent):
+    """Same outcome; a built preset covers +-extent and equals the reference where both store."""
+    if not isinstance(ref, Background):
+        assert got == ref
+        return
+    assert isinstance(got, Background)
+    assert got.j_min <= -extent and got.j_max >= extent
+    assert (got.convention, got.left_cell, got.right_cell) == (
+        ref.convention, ref.left_cell, ref.right_cell
+    )
+    js = range(max(got.j_min, ref.j_min), min(got.j_max, ref.j_max) + 1)
+    assert [got.b(j) for j in js] == [ref.b(j) for j in js]
+    assert [got.c(j) for j in js] == [ref.c(j) for j in js]
+    # n = j leaves particle j unshifted, n = j - 1 shifts it
+    assert [(got.site_of(j, j), got.site_of(j, j - 1)) for j in js] == [
+        (ref.site_of(j, j), ref.site_of(j, j - 1)) for j in js
+    ]
+
+
+@st.composite
+def periodic_presets(draw):
+    """A jammed cell, any site of a cell at least four cells inside the reference window.
+
+    The reference window spans cells -reps..reps; nearer its edges it holds
+    too few particles on one side of the flip.
+    """
+    cell = draw(jammed_cells)
+    extent = draw(st.integers(0, 300))
+    reps = (extent + 8) // cell.count("u") + 3
+    flip = draw(st.integers(4 - reps, reps - 4)) * len(cell) + draw(st.integers(0, len(cell) - 1))
+    return cell, flip, extent, draw(st.sampled_from(["auto", "left", "right"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(periodic_presets())
+def test_periodic_preset_equals_the_string_tiled_reference(spec):
+    cell, flip, extent, convention = spec
+    assert_same_preset(
+        outcome(lambda: periodic_flip_background(cell, flip, extent, convention)),
+        outcome(lambda: reference_periodic_flip_background(cell, flip, extent, convention)),
+        extent,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 10), st.integers(0, 300))
+def test_weak_preset_equals_the_string_tiled_reference(m, M, extent):
+    assert_same_preset(
+        weak_flip_background(m, M, extent), reference_weak_flip_background(m, M, extent), extent
+    )
 
 
 @st.composite
